@@ -108,7 +108,7 @@ from repro.experiments import (
     registry,
     to_jsonable,
 )
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import COLLECTORS, MetricsRegistry
 from repro.telemetry import runtime as telem
 
 #: Default on-disk result cache for ``sweep`` (created in the CWD).
@@ -182,15 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="fan out over N worker processes")
     run.add_argument("--cache-dir", default=None,
                      help="enable the on-disk result cache rooted here")
-    run.add_argument("--metrics", action="store_true",
-                     help="collect hardware telemetry and persist the snapshot")
-    run.add_argument("--metrics-out", default=DEFAULT_METRICS_PATH,
-                     help=f"metrics snapshot file (default: {DEFAULT_METRICS_PATH})")
-    run.add_argument("--physics", action="store_true",
-                     help="collect the physics layer (per-row heat maps, flip "
-                          "provenance, mitigation audit) and persist it")
-    run.add_argument("--physics-out", default=DEFAULT_PHYSICS_PATH,
-                     help=f"physics snapshot file (default: {DEFAULT_PHYSICS_PATH})")
+    _add_collector_args(run)
     run.add_argument("--timeout", type=float, default=None, metavar="SECS",
                      help="per-job wall-clock deadline (structured timeout "
                           "outcome instead of a hang)")
@@ -239,15 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--no-cache", action="store_true", help="disable the result cache")
     sweep.add_argument("--json", action="store_true",
                        help="emit the full result records as JSON")
-    sweep.add_argument("--metrics", action="store_true",
-                       help="collect hardware telemetry and persist the snapshot")
-    sweep.add_argument("--metrics-out", default=DEFAULT_METRICS_PATH,
-                       help=f"metrics snapshot file (default: {DEFAULT_METRICS_PATH})")
-    sweep.add_argument("--physics", action="store_true",
-                       help="collect the physics layer (per-row heat maps, "
-                            "flip provenance, mitigation audit) and persist it")
-    sweep.add_argument("--physics-out", default=DEFAULT_PHYSICS_PATH,
-                       help=f"physics snapshot file (default: {DEFAULT_PHYSICS_PATH})")
+    _add_collector_args(sweep)
     sweep.add_argument("--timeout", type=float, default=None, metavar="SECS",
                        help="per-job wall-clock deadline (structured timeout "
                             "outcome instead of a hang)")
@@ -572,6 +556,18 @@ def _serve_metrics(args, runner: ExperimentRunner):
     return server
 
 
+def _add_collector_args(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument("--metrics", action="store_true",
+                     help="collect hardware telemetry and persist the snapshot")
+    cmd.add_argument("--metrics-out", default=DEFAULT_METRICS_PATH,
+                     help=f"metrics snapshot file (default: {DEFAULT_METRICS_PATH})")
+    cmd.add_argument("--physics", action="store_true",
+                     help="collect the physics layer (per-row heat maps, flip "
+                          "provenance, mitigation audit) and persist it")
+    cmd.add_argument("--physics-out", default=DEFAULT_PHYSICS_PATH,
+                     help=f"physics snapshot file (default: {DEFAULT_PHYSICS_PATH})")
+
+
 def _add_sanitize_args(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--sanitize", choices=("off", "cheap", "full"),
                      default=None,
@@ -600,50 +596,32 @@ def _apply_sanitize(args) -> None:
 
 
 def _make_runner(parallel: int, cache_dir: Optional[str],
-                 collect_metrics: bool = False,
-                 collect_physics: bool = False,
-                 **hardening) -> ExperimentRunner:
+                 **options) -> ExperimentRunner:
     return ExperimentRunner(cache_dir=cache_dir, max_workers=max(1, parallel),
-                            collect_metrics=collect_metrics,
-                            collect_physics=collect_physics, **hardening)
+                            **options)
 
 
-def _write_metrics_snapshot(runner: ExperimentRunner, path: str,
-                            command: str, names: List[str]) -> None:
-    """Persist the runner's merged metrics so ``repro stats`` can render
-    them from a separate process."""
+def _write_snapshots(args, runner: ExperimentRunner, command: str,
+                     names: List[str]) -> None:
+    """Persist each merged collector the command asked for (``--metrics``,
+    ``--physics``) to its ``--<kind>-out`` file, so ``repro stats`` can
+    render it from a separate process."""
     import repro
 
-    record = {
-        "repro_version": repro.__version__,
-        "command": command,
-        "names": [registry.resolve(n) for n in names],
-        "metrics": runner.metrics.snapshot(),
-    }
-    with open(path, "w") as handle:
-        json.dump(record, handle, indent=1, sort_keys=True)
-    print(f"metrics: {len(runner.metrics)} series -> {path}", file=sys.stderr)
-
-
-def _write_physics_snapshot(runner: ExperimentRunner, path: str,
-                            command: str, names: List[str]) -> None:
-    """Persist the runner's merged physics layer.  The record carries
-    both the full-resolution snapshot and its bank-level aggregates as
-    a metrics snapshot, so ``repro stats --input <path> --format
-    prometheus`` renders the physics families unchanged."""
-    import repro
-
-    record = {
-        "repro_version": repro.__version__,
-        "command": command,
-        "names": [registry.resolve(n) for n in names],
-        "physics": runner.physics.snapshot(),
-        "metrics": runner.physics.to_registry().snapshot(),
-    }
-    with open(path, "w") as handle:
-        json.dump(record, handle, indent=1, sort_keys=True)
-    print(f"physics: {runner.physics.total_flips()} flips over "
-          f"{len(record['physics']['heat'])} rows -> {path}", file=sys.stderr)
+    for kind, row in COLLECTORS.items():
+        if not getattr(args, kind, False):
+            continue
+        path = getattr(args, f"{kind}_out")
+        merged = getattr(runner, kind)
+        record = {
+            "repro_version": repro.__version__,
+            "command": command,
+            "names": [registry.resolve(n) for n in names],
+            **row.artifact(merged),
+        }
+        with open(path, "w") as handle:
+            json.dump(record, handle, indent=1, sort_keys=True)
+        print(f"{kind}: {row.summary(merged)} -> {path}", file=sys.stderr)
 
 
 def _print_batch_errors(summary: dict) -> None:
@@ -685,10 +663,7 @@ def _run(args) -> int:
                 print(f"error: {result.error}")
             else:
                 print("\n".join(_render_text(body)))
-    if args.metrics:
-        _write_metrics_snapshot(runner, args.metrics_out, "run", args.names)
-    if args.physics:
-        _write_physics_snapshot(runner, args.physics_out, "run", args.names)
+    _write_snapshots(args, runner, "run", args.names)
     summary = runner.summary(results)
     if summary["errors"]:
         _print_batch_errors(summary)
@@ -831,10 +806,7 @@ def _sweep(args) -> int:
             server.stop()
     if renderer is not None:
         renderer.finish(runner)
-    if args.metrics:
-        _write_metrics_snapshot(runner, args.metrics_out, "sweep", [args.name])
-    if args.physics:
-        _write_physics_snapshot(runner, args.physics_out, "sweep", [args.name])
+    _write_snapshots(args, runner, "sweep", [args.name])
     summary = runner.summary(results)
     if args.json:
         print(json.dumps([r.to_json_dict() for r in results], indent=2, default=repr))

@@ -54,21 +54,14 @@ def canonical_json(value: Any) -> str:
 class ExperimentResult:
     """One experiment execution: payload + provenance.
 
-    ``metrics`` — when the job ran with telemetry collection on — is
-    the job's :meth:`~repro.telemetry.MetricsRegistry.snapshot`: the
-    counters/gauges/histograms the simulated hardware emitted while
-    this experiment executed.  It travels through the result cache, so
-    a cached result still answers "what did the hardware do".
-
-    ``profile`` is the analogous
-    :meth:`~repro.telemetry.SpanProfiler.snapshot` of wall-clock spans
-    when the job ran under the span profiler.
-
-    ``physics`` is the analogous
-    :meth:`~repro.telemetry.PhysicsCollector.snapshot` of the domain
-    observability layer — per-row heat, flip provenance aggregates,
-    and the mitigation audit trail — when the job ran with
-    ``collect_physics``.
+    ``metrics``, ``profile`` and ``physics`` are one field per row of
+    the collector table (:data:`repro.telemetry.COLLECTORS`): the
+    ``snapshot()`` of the job's own metrics registry, span profiler, or
+    physics collector (per-row heat, flip provenance, mitigation
+    audit), or ``None`` when the job ran without that kind.  They
+    travel through the result cache; a cached result serves a run only
+    if it carries every seeded snapshot (metrics, physics) the run
+    asked for.
 
     ``error`` is ``None`` for a successful run; a fault-tolerant batch
     (:meth:`~repro.experiments.runner.ExperimentRunner.run`) captures a

@@ -72,18 +72,12 @@ from typing import (
 from repro.experiments import registry
 from repro.experiments.checkpoint import SweepCheckpoint, job_key
 from repro.experiments.result import ExperimentResult, to_jsonable
-from repro.telemetry import (
-    MetricsRegistry,
-    PhysicsCollector,
-    RunLedger,
-    SpanProfile,
-    SpanProfiler,
-)
+from repro.telemetry import COLLECTORS, MetricsRegistry, RunLedger
 from repro.telemetry import default_ledger
-from repro.telemetry import physics as phys
 from repro.telemetry import events as stream_events
 from repro.telemetry import ids
 from repro.telemetry import runtime as telem
+from repro.telemetry.collectors import collecting
 from repro.telemetry.events import EventStream, SweepProgress
 
 try:  # not available on Windows; RSS reads as 0 there
@@ -221,6 +215,14 @@ def _peak_rss_kb() -> int:
     return int(rss // 1024) if sys.platform == "darwin" else int(rss)
 
 
+def _kinds(collect_metrics: bool, collect_profile: bool,
+           collect_physics: bool) -> Tuple[str, ...]:
+    """The public ``collect_*`` flags as a tuple of collector kinds."""
+    flags = {"metrics": collect_metrics, "profile": collect_profile,
+             "physics": collect_physics}
+    return tuple(kind for kind in COLLECTORS if flags.get(kind))
+
+
 def execute_job(name: str, params: Optional[Mapping[str, Any]] = None,
                 seed: Optional[int] = 0,
                 collect_metrics: bool = False,
@@ -233,16 +235,15 @@ def execute_job(name: str, params: Optional[Mapping[str, Any]] = None,
     normalized to JSON-safe types here so cached and fresh results are
     indistinguishable downstream.
 
-    With ``collect_metrics`` the job runs against its own fresh
-    telemetry registry; the snapshot is attached to the result (and the
-    caller's registry is restored afterwards), so per-job metrics can be
-    shipped across process boundaries and merged in the parent.
-    ``collect_profile`` does the same with a fresh span profiler: the
-    whole job runs under a root ``job{name=...}`` span and the profile
-    snapshot rides in ``result.profile``.  ``collect_physics`` does the
-    same with a fresh :class:`~repro.telemetry.PhysicsCollector`
-    (per-row heat, flip provenance, mitigation audit) riding in
-    ``result.physics``.
+    Each ``collect_<kind>`` flag names a row of the collector table
+    (:data:`repro.telemetry.COLLECTORS`): ``metrics`` (the telemetry
+    registry), ``profile`` (the span profiler) and ``physics`` (per-row
+    heat, flip provenance, mitigation audit).  The job runs against a
+    fresh sink of every requested kind, the whole job under a root
+    ``job{name=...}`` span; each sink's snapshot rides in the result
+    field of the same name, and the caller's sinks and guards are
+    restored afterwards.  So per-job telemetry crosses process
+    boundaries and merges in the parent.
 
     Exceptions raised inside the experiment propagate (the batch-level
     fault tolerance lives in :meth:`ExperimentRunner.run`); the
@@ -250,18 +251,18 @@ def execute_job(name: str, params: Optional[Mapping[str, Any]] = None,
     distinguishing the failure — including the exception's class name
     for ``MemoryError``/``SystemExit``-grade failures.
     """
+    return _execute_job(name, params, seed,
+                        _kinds(collect_metrics, collect_profile, collect_physics))
+
+
+def _execute_job(name: str, params: Optional[Mapping[str, Any]],
+                 seed: Optional[int], kinds: Sequence[str]) -> ExperimentResult:
     import repro
 
     spec = registry.get(name)
     kwargs = spec.bind(params=params, seed=seed)
     run_id = ids.current_run_id()
     jid = ids.job_id_from_key(job_key(spec.name, params or {}, seed))
-    if collect_metrics:
-        # job_registry() returns a StreamingRegistry when live streaming
-        # is armed, so instrument touches double as worker heartbeats.
-        prev_registry = telem.swap_registry(stream_events.job_registry())
-        prev_metrics_on = telem.metrics_on
-        telem.enable_metrics()
     # Pin the tracer and stamp the correlation pair into every event it
     # records for the duration of the job (explicit fields still win).
     tracer = telem.get_tracer()
@@ -270,53 +271,28 @@ def execute_job(name: str, params: Optional[Mapping[str, Any]] = None,
     if run_id:
         context["run_id"] = run_id
     tracer.context = {**prev_context, **context}
-    if collect_profile:
-        prev_profiler = telem.swap_profiler(SpanProfiler())
-        prev_spans_on = telem.spans_on
-        telem.enable_profiling()
-    if collect_physics:
-        prev_collector = phys.swap_collector(phys.PhysicsCollector())
-        prev_physics_on = phys.physics_on
-        phys.enable_physics()
-    if telem.trace_on:
-        telem.trace("job_start", name=spec.name, seed=seed)
-    snapshot: Optional[Dict[str, Any]] = None
-    profile: Optional[Dict[str, Any]] = None
-    physics: Optional[Dict[str, Any]] = None
     ok = True
     error: Optional[str] = None
-    start = time.perf_counter()
-    try:
-        with telem.span("job", name=spec.name):
-            payload = spec.fn(**kwargs)
-    except BaseException as exc:
-        ok = False
-        error = f"{type(exc).__name__}: {exc}"
-        raise
-    finally:
-        duration = time.perf_counter() - start
+    with collecting(COLLECTORS[kind] for kind in kinds) as snapshots:
         if telem.trace_on:
-            end_fields: Dict[str, Any] = {"name": spec.name, "seed": seed,
-                                          "duration_s": duration, "ok": ok}
-            if error is not None:
-                end_fields["error"] = error
-            telem.trace("job_end", **end_fields)
-        tracer.context = prev_context
-        if collect_profile:
-            profile = telem.get_profiler().snapshot()
-            telem.swap_profiler(prev_profiler)
-            if not prev_spans_on:
-                telem.disable_profiling()
-        if collect_physics:
-            physics = phys.get_collector().snapshot()
-            phys.swap_collector(prev_collector)
-            if not prev_physics_on:
-                phys.disable_physics()
-        if collect_metrics:
-            snapshot = telem.get_registry().snapshot()
-            telem.swap_registry(prev_registry)
-            if not prev_metrics_on:
-                telem.disable_metrics()
+            telem.trace("job_start", name=spec.name, seed=seed)
+        start = time.perf_counter()
+        try:
+            with telem.span("job", name=spec.name):
+                payload = spec.fn(**kwargs)
+        except BaseException as exc:
+            ok = False
+            error = f"{type(exc).__name__}: {exc}"
+            raise
+        finally:
+            duration = time.perf_counter() - start
+            if telem.trace_on:
+                end_fields: Dict[str, Any] = {"name": spec.name, "seed": seed,
+                                              "duration_s": duration, "ok": ok}
+                if error is not None:
+                    end_fields["error"] = error
+                telem.trace("job_end", **end_fields)
+            tracer.context = prev_context
     return ExperimentResult(
         name=spec.name,
         payload=to_jsonable(payload),
@@ -325,11 +301,9 @@ def execute_job(name: str, params: Optional[Mapping[str, Any]] = None,
         duration_s=duration,
         peak_rss_kb=_peak_rss_kb(),
         version=repro.__version__,
-        metrics=snapshot,
-        profile=profile,
-        physics=physics,
         run_id=run_id,
         job_id=jid,
+        **snapshots,
     )
 
 
@@ -355,6 +329,12 @@ def execute_job_safe(name: str, params: Optional[Mapping[str, Any]] = None,
     ``REPRO_CAPTURE`` set — see :mod:`repro.sanitizer.bundle`), any
     failed job writes a replayable bundle before returning.
     """
+    return _execute_job_safe(name, params, seed,
+                             _kinds(collect_metrics, collect_profile, collect_physics))
+
+
+def _execute_job_safe(name: str, params: Optional[Mapping[str, Any]],
+                      seed: Optional[int], kinds: Sequence[str]) -> ExperimentResult:
     import repro
     from repro.sanitizer import runtime as sanit
     from repro.sanitizer.bundle import CaptureContext
@@ -379,10 +359,7 @@ def execute_job_safe(name: str, params: Optional[Mapping[str, Any]] = None,
 
         if chaos.enabled():
             chaos.on_job_start(spec.name, seed)
-        result = execute_job(name, params=params, seed=seed,
-                             collect_metrics=collect_metrics,
-                             collect_profile=collect_profile,
-                             collect_physics=collect_physics)
+        result = _execute_job(name, params, seed, kinds)
         return result
     except (Exception, SystemExit) as exc:
         detail = str(exc)
@@ -416,19 +393,15 @@ def execute_job_safe(name: str, params: Optional[Mapping[str, Any]] = None,
                 result.duration_s if result is not None else None)
 
 
-def _pool_worker(job: Tuple[str, Dict[str, Any], Optional[int], bool, bool, bool]
+def _pool_worker(job: Tuple[str, Dict[str, Any], Optional[int], Tuple[str, ...]]
                  ) -> ExperimentResult:
     # Re-import inside the worker so spawn-based pools (macOS/Windows)
     # repopulate the registry; under fork this is a no-op.
     import repro.experiments  # noqa: F401
 
-    name, params, seed, collect_metrics, collect_profile, collect_physics = job
     # The safe variant keeps one raising job from poisoning the pool
     # and aborting its completed siblings.
-    return execute_job_safe(name, params=params, seed=seed,
-                            collect_metrics=collect_metrics,
-                            collect_profile=collect_profile,
-                            collect_physics=collect_physics)
+    return _execute_job_safe(*job)
 
 
 #: Temp files this much older than "now" are crash leftovers, not
@@ -578,15 +551,15 @@ class ExperimentRunner:
     misses out over ``N`` worker processes.  ``cache_dir=None`` disables
     the cache.
 
-    ``collect_metrics=True`` runs every job with telemetry on: each
-    result carries its own metrics snapshot, and :attr:`metrics` holds
-    the parent-side merge across all jobs this runner executed (cache
-    hits included — their stored snapshots are re-absorbed, so a fully
-    cached re-run still reports what the hardware did).
-    ``collect_profile=True`` does the same for span profiles into
-    :attr:`profile`, and ``collect_physics=True`` for the domain
-    observability layer (per-row heat maps, flip provenance, the
-    mitigation audit trail) into :attr:`physics`.
+    Each ``collect_<kind>=True`` runs every job with that collector
+    (see :func:`execute_job`) and exposes the parent-side merge of all
+    the jobs' snapshots as ``runner.<kind>`` — :attr:`metrics`,
+    :attr:`profile`, :attr:`physics`; uncollected kinds read ``None``.
+    Cache hits and checkpoint restores are re-absorbed too, but a
+    stored result serves a run only if it carries every *seeded*
+    snapshot the run collects (metrics and physics; a span profile
+    times the host, so none is expected).  Otherwise the job re-runs
+    and its richer result overwrites the cache entry.
 
     Batches are **fault tolerant**: a job that raises becomes an
     errored result (``error`` set, ``payload=None``) instead of
@@ -670,13 +643,13 @@ class ExperimentRunner:
             self.stream = stream
         else:
             self.stream = None
-        if self.stream is not None:
-            collect_metrics = True  # deltas ride on the metric stream
         self.progress: Optional[SweepProgress] = None
         self.on_progress = on_progress
-        self.collect_metrics = collect_metrics
-        self.collect_profile = collect_profile
-        self.collect_physics = collect_physics
+        # Streamed deltas ride on the metric stream.
+        self.kinds = _kinds(collect_metrics or self.stream is not None,
+                            collect_profile, collect_physics)
+        for kind, row in COLLECTORS.items():
+            setattr(self, kind, row.merged() if kind in self.kinds else None)
         self.timeout_s = timeout_s
         self.retries = max(0, int(retries))
         self.backoff_s = backoff_s
@@ -693,15 +666,6 @@ class ExperimentRunner:
         #: this as the ``degraded`` health state).
         self.degraded_to_serial = False
         self.ledger_command = ledger_command
-        self.metrics: Optional[MetricsRegistry] = (
-            MetricsRegistry() if collect_metrics else None
-        )
-        self.profile: Optional[SpanProfile] = (
-            SpanProfile() if collect_profile else None
-        )
-        self.physics: Optional[PhysicsCollector] = (
-            PhysicsCollector() if collect_physics else None
-        )
         if ledger is None or ledger is True:
             self.ledger = default_ledger()
         elif ledger is False:
@@ -763,16 +727,28 @@ class ExperimentRunner:
                             pid=record["pid"], age_s=round(record["age_s"], 3),
                             run_id=self.run_id)
 
+    def _serves(self, stored: Optional[ExperimentResult]
+                ) -> Optional[ExperimentResult]:
+        """``stored`` if it carries every seeded snapshot this runner
+        collects, else ``None`` (a miss: the job re-runs)."""
+        if stored is None or any(
+                COLLECTORS[kind].seeded and getattr(stored, kind) is None
+                for kind in self.kinds):
+            return None
+        return stored
+
     def _absorb(self, result: ExperimentResult) -> None:
-        """Account one finished job: merge its metric/span snapshots
-        into the parent sinks and append it to the run ledger."""
+        """Account one finished job: merge its collector snapshots into
+        the parent sinks and append it to the run ledger."""
         with self._metrics_lock():
             self._absorb_locked(result)
 
     def _absorb_locked(self, result: ExperimentResult) -> None:
+        for kind in self.kinds:
+            snapshot = getattr(result, kind)
+            if snapshot:
+                getattr(self, kind).merge(snapshot)
         if self.metrics is not None:
-            if result.metrics:
-                self.metrics.merge(result.metrics)
             self.metrics.counter(
                 "runner_jobs_total",
                 cache_hit=str(result.cache_hit).lower(),
@@ -786,10 +762,6 @@ class ExperimentRunner:
                     "sanitizer_violations_total",
                     subsystem=violation_subsystem(result.error),
                 ).inc()
-        if self.profile is not None and result.profile:
-            self.profile.merge(result.profile)
-        if self.physics is not None and result.physics:
-            self.physics.merge(result.physics)
         if self.ledger is not None:
             self.ledger.record(result, command=self.ledger_command)
 
@@ -828,14 +800,11 @@ class ExperimentRunner:
         params = dict(params or {})
         with ids.run_scope(self.run_id):
             if self.cache is not None:
-                hit = self.cache.get(name, params, seed)
+                hit = self._serves(self.cache.get(name, params, seed))
                 if hit is not None:
                     self._absorb(hit)
                     return hit
-            result = execute_job(name, params=params, seed=seed,
-                                 collect_metrics=self.collect_metrics,
-                                 collect_profile=self.collect_profile,
-                                 collect_physics=self.collect_physics)
+            result = _execute_job(name, params, seed, self.kinds)
             if self.cache is not None and self.cache.put(result) is None:
                 self._count_cache_write_error()
             self._absorb(result)
@@ -870,7 +839,7 @@ class ExperimentRunner:
             jid = ids.job_id_from_key(key)
             self.progress.add_job(jid, registry.resolve(job.name), job.seed)
             if restored:
-                hit = restored.get(key)
+                hit = self._serves(restored.get(key))
                 if hit is not None:
                     results[i] = hit
                     self.progress.mark_done(jid, hit.outcome, cache_hit=True,
@@ -878,7 +847,7 @@ class ExperimentRunner:
                     self._absorb(hit)
                     continue
             if self.cache is not None:
-                hit = self.cache.get(job.name, job.params, job.seed)
+                hit = self._serves(self.cache.get(job.name, job.params, job.seed))
                 if hit is not None:
                     results[i] = hit
                     if self.checkpoint is not None:
@@ -999,11 +968,8 @@ class ExperimentRunner:
             start = time.monotonic()
             try:
                 result = call_with_deadline(
-                    lambda: execute_job_safe(
-                        p.job.name, params=p.job.params, seed=p.job.seed,
-                        collect_metrics=self.collect_metrics,
-                        collect_profile=self.collect_profile,
-                        collect_physics=self.collect_physics),
+                    lambda: _execute_job_safe(p.job.name, p.job.params,
+                                              p.job.seed, self.kinds),
                     timeout_s)
             except JobTimeout:
                 # The alarm fired outside the guarded job body.
@@ -1021,9 +987,7 @@ class ExperimentRunner:
 
     def _submit(self, pool: ProcessPoolExecutor, p: _Pending):
         fut = pool.submit(_pool_worker, (p.job.name, dict(p.job.params),
-                                         p.job.seed, self.collect_metrics,
-                                         self.collect_profile,
-                                         self.collect_physics))
+                                         p.job.seed, self.kinds))
         timeout_s = self._job_timeout(p.job)
         p.started_at = time.monotonic()
         p.deadline = (p.started_at + timeout_s) if timeout_s else None

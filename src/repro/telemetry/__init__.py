@@ -10,7 +10,9 @@ cycles — so the simulators carry a first-class observability layer:
 * :mod:`repro.telemetry.trace` — a bounded :class:`TraceRecorder`
   ring buffer of typed :class:`TraceEvent` records with JSONL spill;
 * :mod:`repro.telemetry.runtime` — the process-global sinks and the
-  ``metrics_on`` / ``trace_on`` hot-path guards instrument sites read.
+  ``metrics_on`` / ``trace_on`` hot-path guards instrument sites read;
+* :mod:`repro.telemetry.collectors` — the row type and the per-job
+  lifecycle of :data:`COLLECTORS` (metrics, spans, physics).
 
 Everything is **off by default**; a disabled instrument site costs one
 module-attribute read.  Enable via the CLI (``repro run --metrics``,
@@ -48,6 +50,7 @@ from repro.telemetry.physics import (
     swap_collector,
 )
 from repro.telemetry.runtime import (
+    COLLECTORS,
     counter,
     disable_all,
     disable_metrics,
@@ -72,6 +75,7 @@ from repro.telemetry.spans import SpanProfile, SpanProfiler
 from repro.telemetry.trace import TraceEvent, TraceRecorder
 
 __all__ = [
+    "COLLECTORS",
     "Counter",
     "Gauge",
     "Histogram",

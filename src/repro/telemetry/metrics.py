@@ -21,7 +21,9 @@ histograms merge iff their edges match exactly.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+
+from repro.telemetry.collectors import Mergeable
 
 __all__ = [
     "Counter",
@@ -152,7 +154,7 @@ class Histogram:
 Metric = Any  # Counter | Gauge | Histogram
 
 
-class MetricsRegistry:
+class MetricsRegistry(Mergeable):
     """A process-local collection of named, labeled metrics.
 
     Metrics are identified by ``(name, labels)``; the first touch
@@ -257,21 +259,6 @@ class MetricsRegistry:
                 hist.counts[i] += c
             hist.sum += entry["sum"]
             hist.count += entry["count"]
-
-    @classmethod
-    def from_snapshot(cls, snapshot: Mapping[str, Any]) -> "MetricsRegistry":
-        registry = cls()
-        registry.merge(snapshot)
-        return registry
-
-    @classmethod
-    def from_snapshots(cls, snapshots: Iterable[Optional[Mapping[str, Any]]]
-                       ) -> "MetricsRegistry":
-        registry = cls()
-        for snapshot in snapshots:
-            if snapshot:
-                registry.merge(snapshot)
-        return registry
 
     # ------------------------------------------------------------------
     # Rendering

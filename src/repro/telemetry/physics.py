@@ -24,7 +24,8 @@ physics travels inside :class:`~repro.experiments.result.ExperimentResult`,
 survives the result cache, and adds up across process-pool workers.
 
 This module is a leaf: it imports only the metrics primitives (for
-Prometheus exposition of the aggregates), never the simulator.
+Prometheus exposition of the aggregates) and the collector row type,
+never the simulator.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.telemetry.collectors import Collector, Mergeable
 from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = [
@@ -96,7 +98,7 @@ class AuditEvent:
         )
 
 
-class PhysicsCollector:
+class PhysicsCollector(Mergeable):
     """Per-row heat, flip provenance, and the mitigation audit trail.
 
     All accumulators are mergeable: counts add, peaks max-merge,
@@ -289,21 +291,6 @@ class PhysicsCollector:
             self._audit_events.append(AuditEvent.from_dict(record))
         self.audit_dropped += int(snapshot.get("audit_dropped", 0))
 
-    @classmethod
-    def from_snapshot(cls, snapshot: Mapping[str, Any]) -> "PhysicsCollector":
-        collector = cls()
-        collector.merge(snapshot)
-        return collector
-
-    @classmethod
-    def from_snapshots(cls, snapshots: Iterable[Optional[Mapping[str, Any]]]
-                       ) -> "PhysicsCollector":
-        collector = cls()
-        for snapshot in snapshots:
-            if snapshot:
-                collector.merge(snapshot)
-        return collector
-
     # ------------------------------------------------------------------
     # Prometheus exposition
     # ------------------------------------------------------------------
@@ -338,34 +325,20 @@ class PhysicsCollector:
 
 _collector = PhysicsCollector()
 
+#: The ``--physics-out`` artifact also carries the bank-level aggregates
+#: as metrics, so ``repro stats --format prometheus`` renders them.
+PHYSICS = Collector(
+    "physics", globals(), "physics_on", "_collector", PhysicsCollector,
+    merged=PhysicsCollector, seeded=True,
+    artifact=lambda physics: {"physics": physics.snapshot(),
+                              "metrics": physics.to_registry().snapshot()},
+    summary=lambda physics: (f"{physics.total_flips()} flips over "
+                             f"{len(physics.heat_rows())} rows"))
 
-# ----------------------------------------------------------------------
-# Switches and sink management (mirrors repro.telemetry.runtime)
-# ----------------------------------------------------------------------
-def enable_physics(fresh: bool = False) -> PhysicsCollector:
-    """Turn physics collection on; optionally start from an empty collector."""
-    global physics_on, _collector
-    if fresh:
-        _collector = PhysicsCollector()
-    physics_on = True
-    return _collector
-
-
-def disable_physics() -> None:
-    global physics_on
-    physics_on = False
+enable_physics, disable_physics = PHYSICS.enable, PHYSICS.disable
+swap_collector = PHYSICS.swap
 
 
 def get_collector() -> PhysicsCollector:
+    """The process sink; instrument sites call this behind ``physics_on``."""
     return _collector
-
-
-def swap_collector(collector: PhysicsCollector) -> PhysicsCollector:
-    """Install ``collector`` as the process sink; return the previous
-    one.  The runner uses this (like ``swap_registry``) to give each
-    in-process job an isolated collector whose snapshot travels inside
-    the job's result."""
-    global _collector
-    previous = _collector
-    _collector = collector
-    return previous

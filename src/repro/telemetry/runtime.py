@@ -14,17 +14,24 @@ When telemetry is disabled (the default) each site costs exactly one
 module-attribute read and a falsy branch — the "near-zero when off"
 contract the overhead benchmark enforces.
 
-This module is a leaf: it imports nothing from the rest of ``repro``,
+The per-job collector kinds — metrics, spans, physics — are one table,
+:data:`COLLECTORS` (see :mod:`repro.telemetry.collectors`); the
+``enable_*``/``disable_*``/``get_*``/``swap_*`` switches below are its
+rows' methods.
+
+This module imports only the telemetry package, never the simulator,
 so any simulator layer can depend on it without cycles.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
+from repro.telemetry import events as _events
 from repro.telemetry import physics as _physics
+from repro.telemetry.collectors import Collector, Sink
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.telemetry.spans import SpanProfiler, span_name
+from repro.telemetry.spans import SpanProfile, SpanProfiler, span_name
 from repro.telemetry.trace import TraceRecorder
 
 __all__ = [
@@ -50,6 +57,7 @@ __all__ = [
     "trace",
     "span",
     "profiled",
+    "COLLECTORS",
 ]
 
 #: Hot-path guards. Read directly (``telem.metrics_on``) by instrument
@@ -67,20 +75,28 @@ _UNSET: Any = object()
 
 
 # ----------------------------------------------------------------------
-# Switches
+# Switches and current sinks
 # ----------------------------------------------------------------------
-def enable_metrics(fresh: bool = False) -> MetricsRegistry:
-    """Turn metric collection on; optionally start from an empty registry."""
-    global metrics_on, _registry
-    if fresh:
-        _registry = MetricsRegistry()
-    metrics_on = True
-    return _registry
+#: A job's registry streams when live streaming is armed, so instrument
+#: touches double as worker heartbeats.
+METRICS = Collector("metrics", globals(), "metrics_on", "_registry",
+                    MetricsRegistry, merged=MetricsRegistry, seeded=True,
+                    job_sink=_events.job_registry,
+                    summary=lambda registry: f"{len(registry)} series")
+#: Spans time the host, so a cached result is not expected to carry one.
+PROFILE = Collector("profile", globals(), "spans_on", "_profiler",
+                    SpanProfiler, merged=SpanProfile, seeded=False)
+COLLECTORS: Dict[str, Collector] = {
+    kind.name: kind for kind in (METRICS, PROFILE, _physics.PHYSICS)}
 
+#: The event tracer is a sink too, though not a per-job collector.
+TRACE = Sink(globals(), "trace_on", "_tracer", TraceRecorder)
 
-def disable_metrics() -> None:
-    global metrics_on
-    metrics_on = False
+enable_metrics, disable_metrics = METRICS.enable, METRICS.disable
+get_registry, swap_registry = METRICS.get, METRICS.swap
+enable_profiling, disable_profiling = PROFILE.enable, PROFILE.disable
+get_profiler, swap_profiler = PROFILE.get, PROFILE.swap
+disable_tracing, get_tracer, swap_tracer = TRACE.disable, TRACE.get, TRACE.swap
 
 
 def enable_tracing(capacity: Optional[int] = None,
@@ -94,89 +110,19 @@ def enable_tracing(capacity: Optional[int] = None,
     keeps the configured capacity.  Pass ``spill_path=None`` explicitly
     to drop an existing spill destination.
     """
-    global trace_on, _tracer
     if capacity is not None and capacity < 1:
         raise ValueError(f"trace capacity must be >= 1, got {capacity}")
     if fresh or capacity is not None or spill_path is not _UNSET:
-        _tracer = TraceRecorder(
+        TRACE.swap(TraceRecorder(
             capacity=capacity if capacity is not None else _tracer.capacity,
             spill_path=spill_path if spill_path is not _UNSET else _tracer.spill_path,
-        )
-    trace_on = True
-    return _tracer
-
-
-def disable_tracing() -> None:
-    global trace_on
-    trace_on = False
-
-
-def enable_profiling(fresh: bool = False) -> SpanProfiler:
-    """Turn span profiling on; optionally start from an empty profiler."""
-    global spans_on, _profiler
-    if fresh:
-        _profiler = SpanProfiler()
-    spans_on = True
-    return _profiler
-
-
-def disable_profiling() -> None:
-    global spans_on
-    spans_on = False
+        ))
+    return TRACE.enable()
 
 
 def disable_all() -> None:
-    disable_metrics()
-    disable_tracing()
-    disable_profiling()
-    _physics.disable_physics()
-
-
-# ----------------------------------------------------------------------
-# Current sinks
-# ----------------------------------------------------------------------
-def get_registry() -> MetricsRegistry:
-    return _registry
-
-
-def swap_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Install ``registry`` as the process sink; return the previous one.
-
-    The runner uses this to give each in-process job an isolated
-    registry whose snapshot travels inside the job's result.
-    """
-    global _registry
-    previous = _registry
-    _registry = registry
-    return previous
-
-
-def get_tracer() -> TraceRecorder:
-    return _tracer
-
-
-def swap_tracer(tracer: TraceRecorder) -> TraceRecorder:
-    global _tracer
-    previous = _tracer
-    _tracer = tracer
-    return previous
-
-
-def get_profiler() -> SpanProfiler:
-    return _profiler
-
-
-def swap_profiler(profiler: SpanProfiler) -> SpanProfiler:
-    """Install ``profiler`` as the process sink; return the previous one.
-
-    The runner uses this (like :func:`swap_registry`) to give each
-    in-process job an isolated profiler whose snapshot travels inside
-    the job's result.
-    """
-    global _profiler
-    previous = _profiler
-    _profiler = profiler
-    return previous
+    for sink in (TRACE, *COLLECTORS.values()):
+        sink.disable()
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,9 @@ module-attribute read and a falsy branch when disabled.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
+
+from repro.telemetry.collectors import Mergeable
 
 __all__ = ["SpanProfile", "SpanProfiler", "span_name"]
 
@@ -114,7 +116,7 @@ class SpanProfiler:
         return self.profile().snapshot()
 
 
-class SpanProfile:
+class SpanProfile(Mergeable):
     """Mergeable per-path span aggregates: ``path -> (count, total, self)``."""
 
     def __init__(self, entries: Optional[Dict[SpanPath, Tuple[int, float, float]]] = None):
@@ -160,21 +162,6 @@ class SpanProfile:
                 total + float(entry["total_s"]),
                 self_s + float(entry["self_s"]),
             )
-
-    @classmethod
-    def from_snapshot(cls, snapshot: Mapping[str, Any]) -> "SpanProfile":
-        profile = cls()
-        profile.merge(snapshot)
-        return profile
-
-    @classmethod
-    def from_snapshots(cls, snapshots: Iterable[Optional[Mapping[str, Any]]]
-                       ) -> "SpanProfile":
-        profile = cls()
-        for snapshot in snapshots:
-            if snapshot:
-                profile.merge(snapshot)
-        return profile
 
     # ------------------------------------------------------------------
     # Rendering

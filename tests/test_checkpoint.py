@@ -124,7 +124,10 @@ class TestRunnerIntegration:
     def test_failed_jobs_rerun_on_resume(self, tmp_path, flaky):
         path = tmp_path / "c.jsonl"
         jobs = [Job(flaky, {}, s) for s in (0, 1, 2)]  # seed 1 fails
-        first = ExperimentRunner(checkpoint=path, ledger=False)
+        # Both runs collect metrics: a checkpoint entry without the
+        # snapshot a resumed run collects is stale and re-runs.
+        first = ExperimentRunner(checkpoint=path, collect_metrics=True,
+                                 ledger=False)
         results = first.run(jobs)
         assert sum(r.ok for r in results) == 2
         assert len(SweepCheckpoint(path)) == 2  # the failure is not recorded

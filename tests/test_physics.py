@@ -5,8 +5,10 @@ Three contracts under test: the collector's snapshot/merge algebra
 (counts add, peaks max-merge, epoch windows widen, bounded event lists
 drop-don't-lie), the engine instrumentation (both DRAM engines feed the
 collector numbers that exactly match their own flip logs and payload
-counters), and the runner plumbing (per-job physics rides inside
-results, survives the result cache, and merges across pool workers).
+counters), and the result plumbing (per-job physics rides inside
+results and survives a JSON round trip).  Isolation, cache reuse and
+the cross-worker merge are tested once for every collector kind in
+``tests/test_collectors.py``.
 """
 
 import json
@@ -22,7 +24,7 @@ from repro.dram.differential import (
     random_stream,
 )
 from repro.dram.disturbance import DisturbanceModel
-from repro.experiments import ExperimentResult, ExperimentRunner, Job, execute_job
+from repro.experiments import ExperimentResult, execute_job
 from repro.telemetry import AuditEvent, MetricsRegistry, PhysicsCollector
 from repro.telemetry import physics as phys
 from repro.telemetry import runtime as telem
@@ -259,7 +261,7 @@ class TestMitigationAudit:
 
 
 # ----------------------------------------------------------------------
-# Runner plumbing: results, cache, pool workers
+# Result plumbing
 # ----------------------------------------------------------------------
 class TestRunnerPlumbing:
     PARAMS = {"victims": 16}
@@ -273,44 +275,6 @@ class TestRunnerPlumbing:
         assert restored.physics == result.physics
         assert (PhysicsCollector.from_snapshot(restored.physics).total_flips()
                 == result.payload["bit_flips"])
-
-    def test_collect_physics_restores_global_state(self):
-        sentinel = PhysicsCollector()
-        prev = phys.swap_collector(sentinel)
-        try:
-            execute_job("rowhammer_basic", params=self.PARAMS,
-                        seed=0, collect_physics=True)
-            assert phys.get_collector() is sentinel
-            assert not phys.physics_on
-            assert not sentinel  # the job's flips went to its own collector
-        finally:
-            phys.swap_collector(prev)
-
-    def test_pool_workers_merge_into_parent(self):
-        runner = ExperimentRunner(max_workers=2, collect_physics=True,
-                                  ledger=False)
-        jobs = [Job("rowhammer_basic", self.PARAMS, seed) for seed in (1, 2, 3)]
-        results = runner.run(jobs)
-        assert all(r.ok for r in results)
-        expected = sum(r.payload["bit_flips"] for r in results)
-        assert runner.physics.total_flips() == expected
-        assert runner.physics.total_provenance_flips() == expected
-
-    def test_cache_hit_reabsorbs_physics(self, tmp_path):
-        cache = tmp_path / "cache"
-        first = ExperimentRunner(cache_dir=cache, collect_physics=True,
-                                 ledger=False)
-        miss = first.run_one("rowhammer_basic", params=self.PARAMS, seed=7)
-        assert not miss.cache_hit and miss.physics
-
-        second = ExperimentRunner(cache_dir=cache, collect_physics=True,
-                                  ledger=False)
-        hit = second.run_one("rowhammer_basic", params=self.PARAMS, seed=7)
-        assert hit.cache_hit
-        assert hit.physics == miss.physics
-        assert (second.physics.total_flips()
-                == miss.payload["bit_flips"]
-                == PhysicsCollector.from_snapshot(miss.physics).total_flips())
 
     def test_physics_off_leaves_results_bare(self):
         result = execute_job("rowhammer_basic", params=self.PARAMS, seed=0)

@@ -353,8 +353,12 @@ class TestSigintSurvivability:
             "REPRO_CHAOS_STATE": str(tmp_path / "state"),
         })
         cache = tmp_path / "cache"
+        metrics_out = tmp_path / "metrics.json"
+        # Both runs collect metrics: a checkpoint entry without the
+        # snapshot a resumed run collects is stale and re-runs.
         argv = [sys.executable, "-m", "repro", "sweep", "sidedness_ablation",
-                "--seeds", "8", "--parallel", "2", "--cache-dir", str(cache)]
+                "--seeds", "8", "--parallel", "2", "--cache-dir", str(cache),
+                "--metrics", "--metrics-out", str(metrics_out)]
         proc = subprocess.Popen(argv, env=env, start_new_session=True,
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                                 text=True)
@@ -373,10 +377,8 @@ class TestSigintSurvivability:
         assert completed == 7  # everything except the hung job
 
         env.pop("REPRO_CHAOS")  # resume runs clean
-        metrics_out = tmp_path / "metrics.json"
-        resumed = subprocess.run(
-            argv + ["--resume", "--metrics", "--metrics-out", str(metrics_out)],
-            env=env, capture_output=True, text=True, timeout=60)
+        resumed = subprocess.run(argv + ["--resume"], env=env,
+                                 capture_output=True, text=True, timeout=60)
         assert resumed.returncode == 0, resumed.stderr
         snapshot = json.loads(metrics_out.read_text())["metrics"]
         counts = {}

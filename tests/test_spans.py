@@ -214,22 +214,6 @@ class TestJobProfiles:
         restored = type(result).from_json_dict(result.to_json_dict())
         assert restored.profile == result.profile
 
-    def test_collect_profile_restores_prior_state(self):
-        sentinel = telem.swap_profiler(SpanProfiler())
-        telem.swap_profiler(sentinel)
-        assert not telem.spans_on
-        execute_job("rowhammer_basic", params=self.CHEAP, seed=0,
-                    collect_profile=True)
-        assert not telem.spans_on
-        assert telem.get_profiler() is sentinel
-
     def test_without_collect_profile_no_profile(self):
         result = execute_job("rowhammer_basic", params=self.CHEAP, seed=0)
         assert result.profile is None
-
-    def test_runner_merges_profiles_across_jobs(self):
-        from repro.experiments import ExperimentRunner, Job
-
-        runner = ExperimentRunner(collect_profile=True, ledger=False)
-        runner.run([Job("rowhammer_basic", self.CHEAP, s) for s in (0, 1)])
-        assert runner.profile.get("job{name=rowhammer_basic}")[0] == 2

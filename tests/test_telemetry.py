@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.core.scenarios import full_scale_scenario
-from repro.experiments import ExperimentRunner, Job, execute_job
+from repro.experiments import ExperimentRunner, execute_job
 from repro.telemetry import (
     Counter,
     Gauge,
@@ -334,51 +334,17 @@ class TestRuntime:
 
 
 # ----------------------------------------------------------------------
-# The runner integration: per-job snapshots, parent-side merge
+# The runner integration (isolation, merge and cache reuse are tested
+# for every collector kind in tests/test_collectors.py)
 # ----------------------------------------------------------------------
 CHEAP = {"victims": 2, "pressure": 400}
 
 
 class TestRunnerIntegration:
-    def test_execute_job_attaches_snapshot_and_restores_state(self):
-        sentinel = telem.enable_metrics(fresh=True)
-        result = execute_job("rowhammer_basic", params=CHEAP, seed=0,
-                             collect_metrics=True)
-        # the caller's registry came back untouched, flags preserved
-        assert telem.get_registry() is sentinel
-        assert telem.metrics_on
-        assert result.metrics is not None
-        merged = MetricsRegistry.from_snapshot(result.metrics)
-        assert merged.total("dram_activations_total") == result.payload["activations"]
-
     def test_execute_job_without_metrics_attaches_none(self):
         result = execute_job("rowhammer_basic", params=CHEAP, seed=0)
         assert result.metrics is None
         assert not telem.metrics_on
-
-    def test_pool_workers_merge_into_parent(self):
-        runner = ExperimentRunner(max_workers=2, collect_metrics=True)
-        jobs = [Job("rowhammer_basic", CHEAP, seed) for seed in (0, 1, 2)]
-        results = runner.run(jobs)
-        assert all(r.metrics is not None for r in results)
-        expected_acts = sum(r.payload["activations"] for r in results)
-        expected_flips = sum(r.payload["bit_flips"] for r in results)
-        assert runner.metrics.total("dram_activations_total") == expected_acts
-        assert runner.metrics.total("dram_bit_flips_total") == expected_flips
-        assert runner.metrics.value("runner_jobs_total",
-                                    cache_hit="false", outcome="ok") == 3
-
-    def test_cached_rerun_still_reports_metrics(self, tmp_path):
-        first = ExperimentRunner(cache_dir=tmp_path, collect_metrics=True)
-        fresh = first.run_one("rowhammer_basic", params=CHEAP, seed=0)
-        second = ExperimentRunner(cache_dir=tmp_path, collect_metrics=True)
-        hit = second.run_one("rowhammer_basic", params=CHEAP, seed=0)
-        assert hit.cache_hit
-        assert hit.metrics == fresh.metrics  # snapshot survived the disk trip
-        assert (second.metrics.total("dram_activations_total")
-                == fresh.payload["activations"])
-        assert second.metrics.value("runner_jobs_total",
-                                    cache_hit="true", outcome="ok") == 1
 
     def test_metrics_off_runner_has_no_registry(self):
         runner = ExperimentRunner()
