@@ -14,15 +14,29 @@ public API and semantics, but stores per-bank state **densely**:
   "background pattern XOR flips".  A 2 GiB-geometry hammering run never
   allocates its 64 K-bit row arrays unless someone actually reads them.
 
-Whole :class:`~repro.dram.stream.CommandStream` ACT/PRE runs execute as
-array programs: neighbor and distance-2 bumps become one event table
-(scattered via ``lexsort`` + prefix sums), per-reset window pressures
-and dominant aggressors come from segmented scans, and materialization
-evaluates :meth:`DisturbanceModel.flip_mask_batch` over pre-filtered
-candidate cells.  Scalar commands (``activate``, ``write``, ...) are
-inherited from the reference implementation unchanged — they operate on
-dict-like *views* of the columnar state, so sanitizer checkers, chaos
-injectors, and tests poke the same attributes on both engines.
+Two command paths share those columns:
+
+* **scalar** — ``activate``, ``bulk_activate`` and ``refresh_row``,
+  the per-ACT path the controller and CPU models take, run natively on
+  the columns: one ACT reads its row's peak, materializes at most one
+  pending-flip window, and bumps its neighbors in place.
+* **batched** — whole :class:`~repro.dram.stream.CommandStream` ACT/PRE
+  runs execute as array programs: neighbor and distance-2 bumps become
+  one event table (scattered via ``lexsort`` + prefix sums), per-reset
+  window pressures and dominant aggressors come from segmented scans,
+  and materialization evaluates
+  :meth:`DisturbanceModel.flip_mask_batch` over pre-filtered candidate
+  cells.  ``refresh_rows``/``refresh_all``/``settle`` batch the same
+  way.
+
+Both materialize windows sparsely: flips are evaluated on a row's
+candidate weak cells and recorded as bit indices, never by unpacking
+the row (except under the sanitizer, which takes the reference's
+full-row path so its shadow digests see identical mutation points).
+``read``/``write`` are inherited from the reference and reach the
+state through dict-like *views*, which also let sanitizer checkers,
+chaos injectors, the differential oracle and tests poke the same
+attributes on both engines.
 
 Equivalence contract: for any command sequence, this engine and the
 reference engine produce identical flip logs, ``BankStats``, sanitizer
@@ -140,6 +154,10 @@ class _ChargeView:
     Mirrors the reference engine's ``_pressure``/``_peak`` dicts: keys
     are the touched rows in insertion order; reads of untouched rows
     fall back to the default (the backing array holds 0.0 there).
+    No hot path goes through it: the engine's own commands use the
+    columns directly, so the view serves only the sanitizer's checks,
+    the inherited ``write``, the differential oracle's ``observe`` and
+    tests.
     """
 
     __slots__ = ("_state", "_column")
@@ -181,7 +199,11 @@ class _ChargeView:
 
 
 class _LastAggressorView:
-    """Dict-like view of the last-aggressor column (-1 encodes absent)."""
+    """Dict-like view of the last-aggressor column (-1 encodes absent).
+
+    Like :class:`_ChargeView`, it serves only the sanitizer, the
+    differential oracle's ``observe`` and tests.
+    """
 
     __slots__ = ("_state",)
 
@@ -365,6 +387,150 @@ class ColumnarDramBank(DramBank):
         self._cs.fill_cache.clear()
 
     # ------------------------------------------------------------------
+    # Native scalar commands
+    # ------------------------------------------------------------------
+    def activate(self, row: int, time: float = 0.0) -> None:
+        self.geometry.check_row(row)
+        if sanit.sanitize_on:
+            sanit.check("dram.bank", self, row=row)
+        self.stats.activations += 1
+        if telem.metrics_on:
+            telem.counter("dram_activations_total", bank=self.index).inc()
+        if telem.trace_on:
+            telem.trace("activate", t=time, bank=self.index, row=row)
+        if phys.physics_on:
+            phys.get_collector().record_activation(self.index, row)
+        self._act(row, 1, time)
+
+    def bulk_activate(self, row: int, count: int, time: float = 0.0) -> None:
+        self.geometry.check_row(row)
+        if count <= 0:
+            return
+        if sanit.sanitize_on:
+            sanit.check("dram.bank", self, row=row)
+        self.stats.activations += count
+        if telem.metrics_on:
+            telem.counter("dram_activations_total", bank=self.index).inc(count)
+        if telem.trace_on:
+            telem.trace("activate", t=time, bank=self.index, row=row, count=count)
+        if phys.physics_on:
+            phys.get_collector().record_activation(self.index, row, count)
+        if telem.spans_on:
+            with telem.span("dram.bulk_activate"):
+                return self._act(row, count, time)
+        return self._act(row, count, time)
+
+    def _act(self, row: int, count: int, time: float) -> None:
+        """``count`` back-to-back ACTs of ``row`` on the columns: sense
+        the row (one window, if it holds pressure), reset it, bump its
+        neighbors.  Rows are touched in the reference's key-insertion
+        order ``row, row-1, row+1[, row-2, row+2]`` (in bounds only)."""
+        row = int(row)
+        state = self._cs
+        pressure = state.pressure
+        peak = state.peak
+        last_agg = state.last_agg
+        touched = state.touched
+        order = state.touch_order
+        row_peak = float(peak[row])
+        if row_peak > 0:
+            self._materialize_window(row, row_peak, int(last_agg[row]),
+                                     time, "activate")
+        pressure[row] = 0.0
+        peak[row] = 0.0
+        if not touched[row]:
+            touched[row] = True
+            order.append(row)
+        self.open_row = row
+        n_rows = state.rows
+        d2 = self.model.profile.distance2_weight
+        for distance, weight in ((1, float(count)), (2, d2 * count)):
+            if weight <= 0:  # count >= 1, so only a zero d2 stops here
+                break
+            for victim in (row - distance, row + distance):
+                if 0 <= victim < n_rows:
+                    new = pressure[victim] + weight
+                    pressure[victim] = new
+                    if new > peak[victim]:
+                        peak[victim] = new
+                    if distance == 1:
+                        # Only immediate neighbors determine the coupling
+                        # data pattern; distance-2 bumps don't claim
+                        # aggressor-ship.
+                        last_agg[victim] = row
+                    if not touched[victim]:
+                        touched[victim] = True
+                        order.append(victim)
+
+    def refresh_row(self, row: int, time: float = 0.0) -> np.ndarray:
+        self.geometry.check_row(row)
+        if sanit.sanitize_on:
+            sanit.check("dram.bank", self, row=row)
+        self.stats.refreshes += 1
+        if telem.metrics_on:
+            telem.counter("dram_refreshes_total", bank=self.index).inc()
+        if telem.trace_on:
+            telem.trace("refresh", t=time, bank=self.index, row=row)
+        state = self._cs
+        touched = state._touched
+        if touched is None or not touched[row]:
+            # Undisturbed row: refresh is a no-op for the model (and
+            # allocates no column).
+            return _EMPTY_BITS
+        flipped = _EMPTY_BITS
+        row_peak = float(state.peak[row])
+        if row_peak > 0:
+            flipped = self._materialize_window(
+                int(row), row_peak, int(state.last_agg[row]), time, "refresh")
+        state.pressure[row] = 0.0
+        state.peak[row] = 0.0
+        return flipped
+
+    def _materialize_window(self, row: int, peak: float, agg: int,
+                            time: float, cause: str) -> np.ndarray:
+        """Apply one pending-flip window (``peak`` > 0, ``agg`` -1 for
+        none) and log its flips; return the flipped bit indices.
+
+        The victim and its aggressor count as instantiated, as the
+        reference's ``row_bits`` reads make them, but their full bit
+        arrays stay unmaterialized: flips are evaluated on the row's
+        candidate cells only and recorded sparsely.
+        """
+        model = self.model
+        if sanit.sanitize_on:
+            # Take the reference's exact path so instantiation and
+            # shadow-digest notes happen at identical points.
+            bits = self.row_bits(row)
+            agg_bits = self.row_bits(agg) if agg >= 0 else None
+            flipped = model.apply_flips(self.index, row, peak, bits, agg_bits)
+        else:
+            instantiated = self._cs.instantiated
+            instantiated[row] = True
+            if agg >= 0:
+                instantiated[agg] = True
+            # Aggressor-sensitive relief normally *raises* thresholds;
+            # only a relief factor below 1 lets hc_first > peak cells flip.
+            flipped = self._flip_row_now(row, peak, agg,
+                                         min(1.0, model.profile.dpd_relief))
+            if len(flipped):
+                self._apply_row_flips(row, flipped)
+        n_flips = len(flipped)
+        if n_flips:
+            if sanit.sanitize_on:
+                sanit.note("dram.bank", self, row=row)
+            self.stats.record_flips(row, flipped, time, aggressor=agg,
+                                    hammer=peak,
+                                    pattern=self.default_pattern_name)
+            metrics = self._flip_metrics(cause)
+            if metrics:
+                metrics[0].inc(n_flips)
+                metrics[1].observe(n_flips)
+            if telem.trace_on:
+                telem.trace("bit_flip", t=time, bank=self.index,
+                            row=row, bits=n_flips, cause=cause)
+        return flipped
+
+    # ------------------------------------------------------------------
     # Batched materialization
     # ------------------------------------------------------------------
     def _materialize_batch(
@@ -397,8 +563,8 @@ class ColumnarDramBank(DramBank):
     def _flip_metrics(self, cause: str):
         """Resolved ``(counter, histogram)`` for flip telemetry, or
         ``None`` when metrics are off.  Registry lookups hash a sorted
-        label key, so the per-window loops resolve the series once per
-        batch instead of once per flipping window."""
+        label key, so the vectorized materializer resolves the series
+        once per batch instead of once per flipping window."""
         if not telem.metrics_on:
             return None
         return (telem.counter("dram_bit_flips_total",
@@ -443,48 +609,10 @@ class ColumnarDramBank(DramBank):
         times: np.ndarray,
         cause: str,
     ) -> int:
-        model = self.model
-        state = self._cs
-        sanitize = sanit.sanitize_on
-        # Aggressor-sensitive relief normally *raises* thresholds; only
-        # a relief factor below 1 could let hc_first > peak cells flip.
-        relief_floor = min(1.0, model.profile.dpd_relief)
-        metrics = self._flip_metrics(cause)
-        tracing = telem.trace_on
         total = 0
-        for i in range(len(vrows)):
-            row = int(vrows[i])
-            peak = float(peaks[i])
-            agg = int(aggs[i])
-            if sanitize:
-                # Take the reference's exact path so instantiation and
-                # shadow-digest notes happen at identical points.
-                bits = self.row_bits(row)
-                agg_bits = self.row_bits(agg) if agg >= 0 else None
-                flipped = model.apply_flips(self.index, row, peak, bits, agg_bits)
-            else:
-                instantiated = state.instantiated
-                instantiated[row] = True
-                if agg >= 0:
-                    instantiated[agg] = True
-                flipped = self._flip_row_now(row, peak, agg, relief_floor)
-                if len(flipped):
-                    self._apply_row_flips(row, flipped)
-            n_flips = len(flipped)
-            if n_flips:
-                if sanitize:
-                    sanit.note("dram.bank", self, row=row)
-                t = float(times[i])
-                self.stats.record_flips(row, flipped, t, aggressor=agg,
-                                        hammer=peak,
-                                        pattern=self.default_pattern_name)
-                if metrics:
-                    metrics[0].inc(n_flips)
-                    metrics[1].observe(n_flips)
-                if tracing:
-                    telem.trace("bit_flip", t=t, bank=self.index,
-                                row=row, bits=n_flips, cause=cause)
-                total += n_flips
+        for row, peak, agg, t in zip(vrows.tolist(), peaks.tolist(),
+                                     aggs.tolist(), times.tolist()):
+            total += len(self._materialize_window(row, peak, agg, t, cause))
         return total
 
     def _materialize_vectorized(

@@ -6,20 +6,32 @@ random :class:`~repro.dram.stream.CommandStream` (weighted toward the
 shapes that stress the batched math: double-sided bursts, repeated
 aggressors, distance-2-heavy profiles, interleaved refreshes and
 writes) replays through both engines, and the resulting observations
-must agree:
+must agree.  Streams replay two ways:
+
+* **batched** — one :meth:`~repro.dram.bank.DramBank.execute` call,
+  the columnar engine's array-program executor;
+* **scalar** — one per-command method call per entry
+  (:func:`replay_commands`): ``activate``/``bulk_activate``,
+  ``precharge``, ``refresh_row``, ``refresh_all``, ``settle``,
+  ``write`` and ``read``, the path the controller and CPU models take.
+  :func:`random_scalar_stream` weights it toward controller-style
+  interleaved single-ACT hammering.
+
+In both modes the observations must agree:
 
 * **exactly** — flip logs, ``BankStats`` counters, sanitizer shadow
   digests, stored row data, instantiated-row set, touch order, open
-  row, and the ``execute`` return value;
+  row, and the replay's flip-count return value;
 * **to float tolerance** — per-row pressure/peak, where the batched
   prefix-sum windows legitimately reassociate the reference's
   per-command additions (ulp-level differences that cannot move a
   threshold crossing except on a measure-zero set).
 
 ``repro.dram.differential`` is also importable from tests and CI: the
-property suite in ``tests/test_differential.py`` runs 100+ seeds, and
-the ``differential`` CI job runs it under ``REPRO_SANITIZE=full`` so
-the shadow-digest machinery is part of the comparison.
+property suite in ``tests/test_differential.py`` runs 100+ seeds in
+each mode, and the ``differential`` CI job runs it under
+``REPRO_SANITIZE=full`` so the shadow-digest machinery is part of the
+comparison.
 """
 
 from __future__ import annotations
@@ -32,7 +44,16 @@ import numpy as np
 from repro.dram.bank import DramBank
 from repro.dram.disturbance import DisturbanceModel, VulnerabilityProfile
 from repro.dram.geometry import DramGeometry
-from repro.dram.stream import CommandStream
+from repro.dram.stream import (
+    OP_ACT,
+    OP_PRE,
+    OP_READ,
+    OP_REF_ALL,
+    OP_REF_ROW,
+    OP_SETTLE,
+    OP_WRITE,
+    CommandStream,
+)
 from repro.utils.rng import derive_rng
 
 __all__ = [
@@ -40,7 +61,9 @@ __all__ = [
     "EngineObservation",
     "diff_observations",
     "observe",
+    "random_scalar_stream",
     "random_stream",
+    "replay_commands",
     "replay_stream",
     "run_differential",
 ]
@@ -67,6 +90,10 @@ DEFAULT_PROFILES: Tuple[VulnerabilityProfile, ...] = (
 )
 
 _PATTERNS = ("solid1", "rowstripe", "checkered", "random")
+
+#: In the scalar replay, ACTs with at most this count run as repeated
+#: ``activate`` calls; larger counts run as one ``bulk_activate``.
+SCALAR_ACT_LIMIT = 8
 
 
 @dataclass
@@ -131,6 +158,101 @@ def random_stream(
     return stream
 
 
+def random_scalar_stream(
+    seed: int,
+    geometry: DramGeometry = DEFAULT_GEOMETRY,
+    n_commands: int = 60,
+    max_count: int = 3_000,
+    max_rounds: int = 300,
+) -> CommandStream:
+    """A seeded random stream for the scalar replay.
+
+    Most entries are controller-style double-sided hammering: single
+    ACTs alternating between an anchor victim's two aggressors, which
+    :func:`replay_commands` issues as individual ``activate`` calls.
+    Small repeated ACTs, bulk bursts, refreshes, writes and reads fill
+    the rest, so windows materialize from every scalar command.
+    """
+    rng = derive_rng(seed, "diffscalar")
+    rows = geometry.rows
+    stream = CommandStream()
+    time = 0.0
+    victims = rng.integers(2, rows - 2, size=4)
+    for _ in range(n_commands):
+        time += float(rng.integers(1, 50))
+        kind = rng.random()
+        if kind < 0.35:
+            victim = int(victims[rng.integers(len(victims))])
+            for _ in range(int(rng.integers(1, max_rounds))):
+                stream.act(victim - 1, 1, time)
+                stream.act(victim + 1, 1, time)
+                time += 1.0
+        elif kind < 0.45:
+            # A few ACTs of one row, possibly at the device edge.
+            row = int(rng.integers(0, rows))
+            stream.act(row, int(rng.integers(1, SCALAR_ACT_LIMIT + 1)), time)
+        elif kind < 0.58:
+            victim = int(victims[rng.integers(len(victims))])
+            count = int(rng.integers(SCALAR_ACT_LIMIT + 1, max_count))
+            stream.act(victim - 1, count, time)
+            stream.act(victim + 1, count, time)
+        elif kind < 0.64:
+            stream.act(int(rng.integers(0, rows)),
+                       int(rng.integers(SCALAR_ACT_LIMIT + 1, max_count)), time)
+        elif kind < 0.70:
+            stream.pre(time)
+        elif kind < 0.76:
+            stream.ref_row(int(rng.integers(0, rows)), time)
+        elif kind < 0.84:
+            # A mitigation's victim refresh of an anchor victim.
+            stream.ref_row(int(victims[rng.integers(len(victims))]), time)
+        elif kind < 0.87:
+            stream.ref_all(time)
+        elif kind < 0.90:
+            stream.settle(time)
+        elif kind < 0.95:
+            bits = rng.integers(0, 2, size=geometry.row_bits).astype(np.uint8)
+            stream.write(int(rng.integers(0, rows)), bits, time)
+        else:
+            stream.read(int(rng.integers(0, rows)), time)
+    # No closing settle: its batched pass would re-instantiate every
+    # pending window's rows and hide what the scalar windows did.
+    return stream
+
+
+def replay_commands(bank: DramBank, stream: CommandStream) -> int:
+    """Replay ``stream`` through ``bank``'s per-command methods; return
+    the number of flips materialized while it ran.
+
+    ACTs of at most :data:`SCALAR_ACT_LIMIT` run as that many
+    ``activate`` calls, larger ones as one ``bulk_activate``.
+    """
+    before = bank.stats.flips_materialized
+    for cmd in stream:
+        op = cmd.op
+        if op == OP_ACT:
+            if cmd.count <= SCALAR_ACT_LIMIT:
+                for _ in range(cmd.count):
+                    bank.activate(cmd.row, cmd.time)
+            else:
+                bank.bulk_activate(cmd.row, cmd.count, cmd.time)
+        elif op == OP_PRE:
+            bank.precharge()
+        elif op == OP_REF_ROW:
+            bank.refresh_row(cmd.row, cmd.time)
+        elif op == OP_REF_ALL:
+            bank.refresh_all(cmd.time)
+        elif op == OP_SETTLE:
+            bank.settle(cmd.time)
+        elif op == OP_WRITE:
+            bank.write(cmd.row, stream.payload(cmd.index), cmd.time)
+        elif op == OP_READ:
+            bank.read(cmd.row, cmd.time)
+        else:  # pragma: no cover - builder can't produce this
+            raise ValueError(f"unknown stream opcode {op}")
+    return bank.stats.flips_materialized - before
+
+
 def observe(bank: DramBank, returned: int) -> EngineObservation:
     """Snapshot one bank into the comparable observation form."""
     touch_order = list(bank._peak)
@@ -167,11 +289,14 @@ def replay_stream(
     profile: VulnerabilityProfile = DEFAULT_PROFILES[0],
     seed: int = 0,
     pattern: str = "solid1",
+    scalar: bool = False,
 ) -> EngineObservation:
-    """Run ``stream`` on a fresh bank of the given engine and observe it."""
+    """Run ``stream`` on a fresh bank of the given engine and observe it:
+    through :meth:`~repro.dram.bank.DramBank.execute`, or through
+    :func:`replay_commands` when ``scalar``."""
     model = DisturbanceModel(geometry, profile, seed)
     bank = DramBank(geometry, model, 0, default_pattern=pattern, engine=engine)
-    returned = bank.execute(stream)
+    returned = replay_commands(bank, stream) if scalar else bank.execute(stream)
     return observe(bank, returned)
 
 
@@ -247,19 +372,25 @@ def run_differential(
     profile: Optional[VulnerabilityProfile] = None,
     pattern: Optional[str] = None,
     n_commands: int = 60,
+    scalar: bool = False,
 ) -> Dict[str, object]:
     """One oracle round: random stream, both engines, full comparison.
 
     Profile and pattern default to a seed-derived pick from the
-    built-in pools so a plain seed sweep covers the matrix.
+    built-in pools so a plain seed sweep covers the matrix.  With
+    ``scalar`` the round replays a :func:`random_scalar_stream` through
+    the per-command methods instead of ``execute``.
     """
     if profile is None:
         profile = DEFAULT_PROFILES[seed % len(DEFAULT_PROFILES)]
     if pattern is None:
         pattern = _PATTERNS[(seed // len(DEFAULT_PROFILES)) % len(_PATTERNS)]
-    stream = random_stream(seed, geometry, n_commands=n_commands)
-    reference = replay_stream(stream, "reference", geometry, profile, seed, pattern)
-    candidate = replay_stream(stream, "columnar", geometry, profile, seed, pattern)
+    make_stream = random_scalar_stream if scalar else random_stream
+    stream = make_stream(seed, geometry, n_commands=n_commands)
+    reference = replay_stream(stream, "reference", geometry, profile, seed,
+                              pattern, scalar)
+    candidate = replay_stream(stream, "columnar", geometry, profile, seed,
+                              pattern, scalar)
     problems = diff_observations(reference, candidate)
     return {
         "seed": seed,

@@ -13,6 +13,13 @@ record onto the torn bytes and corrupt *both*.  Here the appender
 checks the file's final byte and, when it is not a newline, prefixes
 one — the torn bytes become exactly one corrupt line for the reader to
 skip, and the new record parses.
+
+That tail check and the write run under an exclusive ``flock`` on the
+file where :mod:`fcntl` exists.  Without it, a concurrent appender's
+record that is only partly copied in (records larger than a page are
+copied in page by page) leaves a non-newline final byte, and this
+appender would isolate a "torn tail" that is not torn — writing a
+spurious blank line.
 """
 
 from __future__ import annotations
@@ -20,6 +27,11 @@ from __future__ import annotations
 import os
 from pathlib import Path
 from typing import Union
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX
+    fcntl = None
 
 __all__ = ["append_record", "tail_is_torn"]
 
@@ -56,9 +68,11 @@ def append_record(path: Union[str, Path], line: bytes,
     ``O_APPEND`` descriptor (concurrent writers interleave whole
     records, never fragments), optionally fsynced.  A torn tail left by
     a crashed previous writer is isolated with a leading newline so the
-    fresh record still parses.  Best-effort: returns ``False`` on any
-    ``OSError`` instead of raising — durability code must never take
-    down the work it is trying to preserve.
+    fresh record still parses; appenders hold an exclusive ``flock``
+    from the tail check through the write, so another appender's
+    in-flight record is never mistaken for one.  Best-effort: returns
+    ``False`` on any ``OSError`` instead of raising — durability code
+    must never take down the work it is trying to preserve.
     """
     path = Path(path)
     if not line.endswith(b"\n"):
@@ -67,6 +81,11 @@ def append_record(path: Union[str, Path], line: bytes,
         path.parent.mkdir(parents=True, exist_ok=True)
         fd = os.open(str(path), os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
         try:
+            if fcntl is not None:
+                try:
+                    fcntl.flock(fd, fcntl.LOCK_EX)  # released by close
+                except OSError:
+                    pass  # no lock support here: append unlocked
             size = os.fstat(fd).st_size
             if size > 0 and _last_byte(fd, size) != b"\n":
                 line = b"\n" + line

@@ -5,6 +5,7 @@ telemetry symmetry between the engines."""
 import numpy as np
 import pytest
 
+from repro.controller.controller import MemoryController
 from repro.dram.bank import ENGINES, BankStats, DramBank, default_engine
 from repro.dram.columnar import ColumnarDramBank
 from repro.dram.disturbance import (
@@ -266,6 +267,42 @@ class TestBatchedRefresh:
         assert bank_fast.stats.flips_materialized > 0
 
 
+class TestScalarPathStaysSparse:
+    """The per-ACT controller path — ``activate``, auto-refresh ticks,
+    mitigation victim refreshes — materializes flip windows sparsely:
+    no row's full bit array is ever allocated, and the flip log is the
+    reference engine's."""
+
+    VICTIM = 12  # the refresh cursor reaches it mid-pattern
+
+    def _run(self, engine):
+        module = DramModule(geometry=GEOMETRY, profile=PROFILE,
+                            default_pattern="rowstripe", seed=0,
+                            engine=engine)
+        ctrl = MemoryController(module)
+        aggressors = [self.VICTIM - 1, self.VICTIM + 1]
+        ctrl.run_activation_pattern(0, aggressors, 1500)
+        ctrl.refresh_neighbors(0, self.VICTIM - 1)
+        ctrl.run_activation_pattern(0, aggressors, 1500)
+        ctrl.refresh_neighbors(0, self.VICTIM + 1)
+        return ctrl, module
+
+    def test_double_sided_pattern_materializes_no_row(self, monkeypatch):
+        # Sanitize mode deliberately takes the reference's full-row path.
+        monkeypatch.setenv("REPRO_SANITIZE", "off")
+        sanit.sync_from_env()
+        ctrl, module = self._run("columnar")
+        _, reference = self._run("reference")
+        assert ctrl.refresh_engine.stats.ref_commands > 0
+        assert ctrl.stats.mitigation_refreshes == 4
+        for bank in module.banks:
+            assert bank._cs.store == {}
+        log = module.bank(0).stats.flip_log
+        assert log, "the pattern must flip for this check to bite"
+        assert self.VICTIM in {entry[0] for entry in log}
+        assert log == reference.bank(0).stats.flip_log
+
+
 class TestFillCache:
     def test_periodic_pattern_shares_fill_buffers(self):
         bank = make_bank(engine="columnar", pattern="rowstripe")
@@ -312,6 +349,30 @@ class TestSpanSymmetry:
 
 
 class TestMetricsSymmetry:
+    def test_scalar_counters_agree_across_engines(self):
+        values = {}
+        for engine in ENGINES:
+            registry = telem.swap_registry(MetricsRegistry())
+            telem.enable_metrics()
+            bank = make_bank(engine=engine, pattern="rowstripe")
+            for _ in range(1200):
+                bank.activate(29)
+                bank.activate(31)
+            bank.bulk_activate(35, 2000)
+            bank.refresh_row(30)
+            bank.refresh_row(99)  # undisturbed: counted, no window
+            own = telem.swap_registry(registry)
+            values[engine] = {
+                "acts": own.value("dram_activations_total", bank=0),
+                "refreshes": own.value("dram_refreshes_total", bank=0),
+                "flips": own.total("dram_bit_flips_total"),
+                "events": own.get("dram_flips_per_event").count,
+            }
+            telem.disable_all()
+        assert values["columnar"] == values["reference"]
+        assert values["columnar"]["acts"] == 4400
+        assert values["columnar"]["flips"] > 0
+
     def test_counters_agree_across_engines(self):
         values = {}
         for engine in ENGINES:

@@ -15,6 +15,7 @@ from repro.dram.differential import (
     DEFAULT_GEOMETRY,
     DEFAULT_PROFILES,
     diff_observations,
+    random_scalar_stream,
     random_stream,
     replay_stream,
     run_differential,
@@ -43,6 +44,27 @@ class TestOracleSeedSweep:
         b = random_stream(7)
         assert list(a) == list(b)
         assert list(a) != list(random_stream(8))
+
+
+class TestScalarOracleSeedSweep:
+    """The per-command methods (``activate``, ``bulk_activate``,
+    ``refresh_row``, ...) agree too — the path the controller and the
+    CPU models take, which ``execute`` never reaches."""
+
+    @pytest.mark.parametrize("seed", range(120))
+    def test_scalar_engines_agree(self, seed):
+        result = run_differential(seed=seed, scalar=True)
+        assert result["ok"], "\n".join(result["mismatches"])
+
+    def test_scalar_sweep_exercises_flips(self):
+        results = [run_differential(seed=s, scalar=True) for s in range(8)]
+        assert sum(r["flips"] for r in results) > 0
+        # Single-ACT hammering dominates the scalar streams.
+        assert all(r["commands"] > 500 for r in results)
+
+    def test_scalar_rounds_are_deterministic(self):
+        assert list(random_scalar_stream(7)) == list(random_scalar_stream(7))
+        assert list(random_scalar_stream(7)) != list(random_scalar_stream(8))
 
 
 class TestOracleCorners:
@@ -240,6 +262,12 @@ class TestOracleUnderSanitizer:
     def test_engines_agree_sanitized(self, seed):
         assert sanit.sanitize_on
         result = run_differential(seed=seed)
+        assert result["ok"], "\n".join(result["mismatches"])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_scalar_engines_agree_sanitized(self, seed):
+        assert sanit.sanitize_on
+        result = run_differential(seed=seed, scalar=True)
         assert result["ok"], "\n".join(result["mismatches"])
 
     def test_digests_populated(self):

@@ -191,6 +191,15 @@ def _hammer_ledger(path, worker, per_worker):
         ledger.record(_result(worker * 10_000 + i), command="hammer")
 
 
+def _append_large(path, worker, per_worker):
+    # Larger than a 4 KiB page: the kernel copies each record into the
+    # file in pieces, so a concurrent appender can observe it half-done.
+    pad = "x" * 5_000
+    for i in range(per_worker):
+        record = {"worker": worker, "i": i, "pad": pad}
+        assert append_record(path, json.dumps(record).encode())
+
+
 class TestConcurrentAppenders:
     """N processes hammering one journal / ledger: whole-record
     ``O_APPEND`` writes mean ZERO torn or interleaved lines — the
@@ -223,6 +232,18 @@ class TestConcurrentAppenders:
         assert len(state.order) == self.PROCS * self.PER_WORKER
         assert len(state.done) == self.PROCS * self.PER_WORKER
         assert state.pending() == []
+
+    def test_large_records_leave_no_blank_lines(self, tmp_path):
+        # An appender that checked the tail while another's large record
+        # was mid-copy used to "isolate" it with a spurious newline.
+        path = tmp_path / "large.jsonl"
+        self._spawn(_append_large, path)
+
+        lines = path.read_bytes().split(b"\n")
+        assert lines.pop() == b""  # newline-terminated
+        assert lines.count(b"") == 0
+        assert len(lines) == self.PROCS * self.PER_WORKER
+        assert all(json.loads(line) for line in lines)
 
     def test_ledger_survives_concurrent_appenders(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
