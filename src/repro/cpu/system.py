@@ -20,11 +20,23 @@ The three canonical strategies:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.cpu.cache import SetAssociativeCache, build_eviction_set
 from repro.dram.mapping import AddressMapping
 from repro.dram.module import DramModule
+
+#: Latency charged per CLFLUSH.
+CLFLUSH_NS = 3.0
+
+#: Iterations one fast-forward step accumulates at once, which bounds
+#: its temporary arrays (chunk × program length floats) and so peak RSS.
+FAST_FORWARD_CHUNK = 4096
+
+#: One program item: ``("load" | "target load" | "clflush", address)``.
+Op = Tuple[str, int]
 
 
 @dataclass
@@ -99,7 +111,7 @@ class CpuMemorySystem:
     def clflush(self, address: int) -> None:
         """Flush one line (costs a few ns)."""
         self.cache.flush(address)
-        self.time_ns += 3.0
+        self.time_ns += CLFLUSH_NS
 
     def row_address(self, bank: int, row: int) -> int:
         """Physical address of a (bank, row) — attacker address arithmetic."""
@@ -108,22 +120,97 @@ class CpuMemorySystem:
     # ------------------------------------------------------------------
     # The §II-A attack programs
     # ------------------------------------------------------------------
-    def _run(self, targets: List[int], body, iterations: int, time_budget_ns: Optional[float]) -> HammerRunStats:
-        loads_before_run = self.cache.hits + self.cache.misses
+    def _run(self, program: Sequence[Op], iterations: int, time_budget_ns: Optional[float]) -> HammerRunStats:
+        """Execute ``program`` up to ``iterations`` times, stopping after
+        the first iteration that ends ``time_budget_ns`` or more past the
+        start (see the module docstring for the three phases)."""
+        cache, module = self.cache, self.module
         start_time = self.time_ns
+        start_loads = cache.hits + cache.misses
         start_acts = self.dram_accesses
-        before_flips = self.module.total_flips()
-        target_acts = 0
-        for _ in range(iterations):
-            target_acts += body()
-            if time_budget_ns is not None and self.time_ns - start_time >= time_budget_ns:
+        before_flips = module.total_flips()
+        tRC = module.timing.tRC
+        sets = sorted({cache.set_index(address) for _, address in program})
+
+        def snapshot() -> tuple:
+            return tuple(tuple(cache._sets[i]) for i in sets)
+
+        def counters() -> Tuple[int, int, int, int]:
+            return cache.hits, cache.misses, cache.evictions, self.dram_accesses
+
+        def expired(t: float) -> bool:
+            return time_budget_ns is not None and t - start_time >= time_budget_ns
+
+        # 1. Simulate until the touched sets reach a fixed point.
+        done = target_acts = 0
+        state = snapshot()
+        period = None
+        while done < iterations:
+            before = counters()
+            steps = []  # per op: (bank, row) of a miss or None, and its latency
+            acts = 0
+            for op, address in program:
+                if op == "clflush":
+                    self.clflush(address)
+                    steps.append((None, CLFLUSH_NS))
+                elif self.load(address):
+                    coord = self.mapping.decode(address)
+                    steps.append(((coord.bank, coord.row), tRC))
+                    acts += op == "target load"
+                else:
+                    steps.append((None, self.hit_ns))
+            done += 1
+            target_acts += acts
+            if expired(self.time_ns):
                 break
-        self.module.settle(self.time_ns)
+            previous, state = state, snapshot()
+            if state == previous:
+                period = steps, [b - a for a, b in zip(before, counters())] + [acts]
+                break
+
+        # 2./3. Replay the period, or fast-forward it if it never misses.
+        replayed = 0
+        if period is not None and done < iterations:
+            steps, deltas = period
+            t = self.time_ns
+            if any(coord for coord, _ in steps):
+                activate, precharge = module.activate, module.precharge
+                while done + replayed < iterations:
+                    for coord, latency in steps:
+                        if coord is not None:
+                            activate(coord[0], coord[1], t)
+                            precharge(coord[0])
+                        t += latency
+                    replayed += 1
+                    if expired(t):
+                        break
+            else:
+                latencies = np.array([latency for _, latency in steps], dtype=np.float64)
+                while done + replayed < iterations:
+                    m = min(FAST_FORWARD_CHUNK, iterations - done - replayed)
+                    times = np.add.accumulate(np.concatenate(([t], np.tile(latencies, m))))
+                    ends = times[np.arange(1, m + 1) * len(latencies)]
+                    over = np.flatnonzero(ends - start_time >= time_budget_ns) if time_budget_ns is not None else ()
+                    if len(over):
+                        m = int(over[0]) + 1
+                    t = float(ends[m - 1])
+                    replayed += m
+                    if len(over):
+                        break
+            self.time_ns = t
+            hits, misses, evictions, accesses, acts = deltas
+            cache.hits += replayed * hits
+            cache.misses += replayed * misses
+            cache.evictions += replayed * evictions
+            self.dram_accesses += replayed * accesses
+            target_acts += replayed * acts
+
+        module.settle(self.time_ns)
         return HammerRunStats(
-            loads=self.cache.hits + self.cache.misses - loads_before_run,
+            loads=cache.hits + cache.misses - start_loads,
             dram_activations=self.dram_accesses - start_acts,
             target_activations=target_acts,
-            flips=self.module.total_flips() - before_flips,
+            flips=module.total_flips() - before_flips,
             elapsed_ns=self.time_ns - start_time,
         )
 
@@ -133,31 +220,16 @@ class CpuMemorySystem:
         """The CLFLUSH hammer loop of the released test program:
         ``loop { mov (X); mov (Y); clflush (X); clflush (Y); }``."""
         addresses = [self.row_address(bank, row) for row in rows]
-
-        def body() -> int:
-            acts = 0
-            for address in addresses:
-                acts += self.load(address)
-            for address in addresses:
-                self.clflush(address)
-            return acts
-
-        return self._run(addresses, body, iterations, time_budget_ns)
+        program = [("target load", a) for a in addresses] + [("clflush", a) for a in addresses]
+        return self._run(program, iterations, time_budget_ns)
 
     def naive_hammer(
         self, bank: int, rows: Sequence[int], iterations: int, time_budget_ns: Optional[float] = None
     ) -> HammerRunStats:
         """The same loop without CLFLUSH: the cache absorbs everything
         after the first touch — no hammering, the §II-A control case."""
-        addresses = [self.row_address(bank, row) for row in rows]
-
-        def body() -> int:
-            acts = 0
-            for address in addresses:
-                acts += self.load(address)
-            return acts
-
-        return self._run(addresses, body, iterations, time_budget_ns)
+        program = [("target load", self.row_address(bank, row)) for row in rows]
+        return self._run(program, iterations, time_budget_ns)
 
     def eviction_hammer(
         self,
@@ -178,16 +250,8 @@ class CpuMemorySystem:
         region_rows = list(eviction_region_rows) or [max(rows) + 64 + i for i in range(128)]
         region_base = self.row_address(bank, region_rows[0])
         region_bytes = self.module.geometry.row_bytes * len(region_rows)
-        eviction_sets = [
-            build_eviction_set(self.cache, target, region_base, region_bytes) for target in targets
-        ]
-
-        def body() -> int:
-            acts = 0
-            for target, ev_set in zip(targets, eviction_sets):
-                acts += self.load(target)
-                for evict_address in ev_set:
-                    self.load(evict_address)
-            return acts
-
-        return self._run(targets, body, iterations, time_budget_ns)
+        program: List[Op] = []
+        for target in targets:
+            program.append(("target load", target))
+            program.extend(("load", a) for a in build_eviction_set(self.cache, target, region_base, region_bytes))
+        return self._run(program, iterations, time_budget_ns)

@@ -9,10 +9,14 @@ path directly.
 Failure capture is likewise forced off (a failing test's runner jobs
 must not litter ``.repro-failures/``); capture/replay tests opt back in
 with ``monkeypatch``.  ``REPRO_SANITIZE`` is deliberately **left
-alone** — CI runs the whole tier-1 suite under ``REPRO_SANITIZE=full``
-— but the programmatic level is re-synced from the environment after
-every test so a test that called ``set_level`` can't leak its level
-into the next one.
+alone** — CI's ``sanitize`` job runs the whole tier-1 suite under
+``REPRO_SANITIZE=full`` — but the programmatic level is re-synced from
+the environment after every test so a test that called ``set_level``
+(or synced a ``monkeypatch``-ed variable) can't leak its level into the
+next one.  The re-sync is a teardown hook, not a fixture: it must run
+after ``monkeypatch`` has restored the environment, and autouse
+fixtures are set up in name order, so a fixture's teardown could run
+before that restore.
 """
 
 import pytest
@@ -29,5 +33,9 @@ def _ledger_off(monkeypatch):
 @pytest.fixture(autouse=True)
 def _capture_off(monkeypatch):
     monkeypatch.setenv("REPRO_CAPTURE", "off")
-    yield
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_teardown(item):
+    yield  # every fixture finalizer, monkeypatch's included, has run
     sanit.sync_from_env(default="off")

@@ -288,7 +288,8 @@ class TestScalarPathStaysSparse:
         return ctrl, module
 
     def test_double_sided_pattern_materializes_no_row(self, monkeypatch):
-        # Sanitize mode deliberately takes the reference's full-row path.
+        # Sanitize mode deliberately takes the reference's full-row path,
+        # so pin it off even when the suite runs under REPRO_SANITIZE=full.
         monkeypatch.setenv("REPRO_SANITIZE", "off")
         sanit.sync_from_env()
         ctrl, module = self._run("columnar")
